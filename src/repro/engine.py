@@ -144,7 +144,8 @@ class XRankEngine:
         """
         self._fault_plan = plan
         for index in self._indexes.values():
-            index.disk.fault_plan = plan
+            for disk in index.disks():
+                disk.fault_plan = plan
 
     # -- corpus management -------------------------------------------------------------
 
@@ -424,7 +425,8 @@ class XRankEngine:
         else:
             index = builder.build_naive_rank()
         if self._fault_plan is not None:
-            index.disk.fault_plan = self._fault_plan
+            for disk in index.disks():
+                disk.fault_plan = self._fault_plan
         self._indexes[kind] = index
         self._evaluators[kind] = self._make_evaluator(kind, index)
 

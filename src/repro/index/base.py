@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..config import StorageParams
 from ..errors import IndexNotBuiltError
@@ -79,6 +79,15 @@ class KeywordIndex(ABC):
     def _require_built(self) -> None:
         if not self.built:
             raise IndexNotBuiltError(f"{self.kind} index has not been built")
+
+    def disks(self) -> List[SimulatedDisk]:
+        """Every simulated disk holding this index's pages."""
+        return [self.disk]
+
+    @property
+    def num_postings(self) -> int:
+        """Postings stored in this index's lists."""
+        return self._num_postings
 
     # -- keyword surface ------------------------------------------------------------
 

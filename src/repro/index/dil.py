@@ -35,6 +35,26 @@ class DILIndex(KeywordIndex):
             )
         self._mark_built(postings)
 
+    def append(self, postings: PostingMap) -> None:
+        """Append postings that sort after every indexed one, in place.
+
+        Only the touched keywords' lists are rewritten
+        (:meth:`ListFile.append`); an unknown keyword gets a new list.
+        Each keyword's new postings must be Dewey-ordered and greater
+        than its existing ones — what monotone document ids guarantee.
+        """
+        self._require_built()
+        for keyword in sorted(postings):
+            records = [posting.encode() for posting in postings[keyword]]
+            list_file = self.lists.get(keyword)
+            if list_file is None:
+                self.lists[keyword] = ListFile.write(
+                    self.disk, records, owner=f"dil:{keyword}"
+                )
+            else:
+                list_file.append(records, owner=f"dil:{keyword}")
+            self._num_postings += len(records)
+
     # -- keyword surface -----------------------------------------------------------
 
     def keywords(self) -> Iterable[str]:

@@ -26,7 +26,7 @@ from ..storage.btree import BTree
 from ..storage.listfile import ListCursor, ListFile
 from ..xmlmodel.dewey import DeweyId, decode_varint
 from .base import KeywordIndex
-from .postings import Posting, PostingMap, rank_order
+from .postings import PostingMap, rank_order_indices
 
 
 def decode_list_page(page: bytes) -> List[Tuple[DeweyId, bytes]]:
@@ -67,23 +67,25 @@ class HDILIndex(KeywordIndex):
         self.full_lists = {}
         self.ranked_heads = {}
         self.btrees = {}
+        # Each posting is encoded once: the ranked head reuses the full
+        # list's record bytes.  Heads still follow all the full lists on
+        # disk; interleaving them would move every page id of the index.
+        head_records: Dict[str, List[bytes]] = {}
         for keyword in sorted(postings):
             ordered = postings[keyword]
             records = [posting.encode() for posting in ordered]
             self.full_lists[keyword] = ListFile.write(
                 self.disk, records, owner=f"hdil:{keyword}"
             )
-        for keyword in sorted(postings):
-            ordered = postings[keyword]
             head_size = max(
                 self.params.min_rank_entries,
                 int(len(ordered) * self.params.rank_fraction),
             )
-            head = rank_order(ordered)[:head_size]
+            by_rank = rank_order_indices(ordered)[:head_size]
+            head_records[keyword] = [records[i] for i in by_rank]
+        for keyword in sorted(postings):
             self.ranked_heads[keyword] = ListFile.write(
-                self.disk,
-                [posting.encode() for posting in head],
-                owner=f"hdil-head:{keyword}",
+                self.disk, head_records[keyword], owner=f"hdil-head:{keyword}"
             )
         for keyword in sorted(postings):
             list_file = self.full_lists[keyword]

@@ -1,14 +1,19 @@
 """Incremental document additions: a main + delta DIL pair (Section 4.5).
 
 The paper handles document-granularity updates "exactly like in traditional
-inverted lists [7][34]": new documents accumulate in a small in-memory/side
-index that queries consult alongside the main index, and a periodic merge
-folds the side index into the main one.  This module implements that
-scheme for the Dewey family:
+inverted lists [7][34]": new documents accumulate in a small side index
+that queries consult alongside the main index, and a periodic merge folds
+the side index into the main one.  This module implements that scheme for
+the Dewey family:
 
 * the **main** index is an ordinary bulk-built :class:`DILIndex`;
-* additions go to a **delta** :class:`DILIndex`, rebuilt from accumulated
-  postings (cheap — it covers only the new documents);
+* the first addition creates one **delta** :class:`DILIndex` that lives
+  until :meth:`IncrementalDILIndex.merge`.  Each addition encodes only the
+  new documents' postings and appends them to the delta lists of the
+  keywords they contain (:meth:`DILIndex.append`): a list whose last page
+  has room is rewritten in place, a full one moves to a fresh run of
+  pages and its old pages are reused.  An addition therefore costs
+  O(new documents), and the delta's buffer pool survives it;
 * a query cursor chains main-then-delta.  Because document ids are assigned
   monotonically, every delta Dewey ID is strictly greater than every main
   Dewey ID, so the chained stream stays globally Dewey-ordered and the
@@ -26,25 +31,30 @@ and :meth:`merge` is the point where a caller would recompute exactly.
 from __future__ import annotations
 
 import logging
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..config import StorageParams
 from ..errors import IndexError_, IndexNotBuiltError
+from ..storage.disk import SimulatedDisk
 from ..storage.listfile import ListCursor
 from ..xmlmodel.dewey import DeweyId
-from ..xmlmodel.graph import CollectionGraph
 from ..xmlmodel.nodes import Document
 from .dil import DILIndex
-from .postings import Posting, PostingMap, extract_direct_postings
+from .postings import (
+    Posting,
+    PostingMap,
+    attach_scores,
+    extract_document_raw_postings,
+    merge_raw_postings,
+)
 
 logger = logging.getLogger(__name__)
 
 
-def approximate_scores(
-    documents: Iterable[Document],
-    reference: Dict[DeweyId, float],
-) -> Dict[DeweyId, float]:
-    """Depth-average ElemRank approximation for not-yet-ranked documents."""
+def depth_averages(
+    reference: Dict[DeweyId, float]
+) -> Tuple[Dict[int, float], float]:
+    """Mean ElemRank per Dewey depth, plus the overall mean as fallback."""
     by_depth: Dict[int, List[float]] = {}
     for dewey, score in reference.items():
         by_depth.setdefault(dewey.depth, []).append(score)
@@ -54,10 +64,24 @@ def approximate_scores(
     fallback = (
         sum(reference.values()) / len(reference) if reference else 0.0
     )
+    return averages, fallback
+
+
+def approximate_scores(
+    documents: Iterable[Document],
+    reference: Dict[DeweyId, float],
+    averages: Optional[Tuple[Dict[int, float], float]] = None,
+) -> Dict[DeweyId, float]:
+    """Depth-average ElemRank approximation for not-yet-ranked documents.
+
+    ``averages`` is :func:`depth_averages` of ``reference``, when the
+    caller already has it.
+    """
+    by_depth, fallback = averages or depth_averages(reference)
     out: Dict[DeweyId, float] = {}
     for document in documents:
         for element in document.iter_elements():
-            out[element.dewey] = averages.get(element.dewey.depth, fallback)
+            out[element.dewey] = by_depth.get(element.dewey.depth, fallback)
     return out
 
 
@@ -65,11 +89,11 @@ def postings_for_documents(
     documents: Iterable[Document], scores: Dict[DeweyId, float]
 ) -> PostingMap:
     """Direct postings for a batch of new documents."""
-    graph = CollectionGraph()
-    for document in documents:
-        graph.add_document(document)
-    graph.finalize()
-    return extract_direct_postings(graph, scores)
+    per_document = [
+        (document.doc_id, extract_document_raw_postings(document))
+        for document in documents
+    ]
+    return attach_scores(merge_raw_postings(per_document), scores)
 
 
 class ChainedCursor:
@@ -117,9 +141,18 @@ class IncrementalDILIndex:
         self._storage_params = storage_params
         self.main = DILIndex(storage_params)
         self.delta: Optional[DILIndex] = None
-        self._delta_postings: PostingMap = {}
         self.max_doc_id = -1
         self.deleted_docs = self.main.deleted_docs
+        # (reference, depth_averages(reference)) for the last reference
+        # seen, so repeated additions do not re-average the whole corpus.
+        self._averages: Optional[tuple] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles from before the persistent delta kept every delta
+        # posting in memory; their delta index is still a valid DILIndex.
+        state.pop("_delta_postings", None)
+        state.setdefault("_averages", None)
+        self.__dict__.update(state)
 
     # -- DILIndex surface ----------------------------------------------------------
 
@@ -131,12 +164,18 @@ class IncrementalDILIndex:
         if not self.main.built:
             raise IndexNotBuiltError("incremental index has not been built")
 
+    def _parts(self) -> List[DILIndex]:
+        return [self.main] if self.delta is None else [self.main, self.delta]
+
+    def disks(self) -> List[SimulatedDisk]:
+        """The main index's disk, then the delta's once it exists."""
+        return [part.disk for part in self._parts()]
+
     def build(self, postings: PostingMap) -> None:
         """Bulk-build the main index; clears any delta."""
         self.main.build(postings)
         self.deleted_docs = self.main.deleted_docs
         self.delta = None
-        self._delta_postings = {}
         self.max_doc_id = self._max_doc_id(postings)
 
     @staticmethod
@@ -148,26 +187,23 @@ class IncrementalDILIndex:
 
     def keywords(self):
         """Keywords across main and delta."""
-        merged = set(self.main.keywords())
-        merged.update(self._delta_postings)
+        merged = set()
+        for part in self._parts():
+            merged.update(part.keywords())
         return merged
 
     def has_keyword(self, keyword: str) -> bool:
         """True when main or delta indexes the keyword."""
-        return self.main.has_keyword(keyword) or keyword in self._delta_postings
+        return any(part.has_keyword(keyword) for part in self._parts())
 
     def list_length(self, keyword: str) -> int:
         """Total postings across main and delta."""
-        delta = len(self._delta_postings.get(keyword, ()))
-        return self.main.list_length(keyword) + delta
+        return sum(part.list_length(keyword) for part in self._parts())
 
     def cursor(self, keyword: str) -> Optional[ChainedCursor]:
         """Dewey-ordered cursor chaining main then delta."""
         self._require_built()
-        cursors = [self.main.cursor(keyword)]
-        if self.delta is not None:
-            cursors.append(self.delta.cursor(keyword))
-        chained = ChainedCursor(cursors)
+        chained = ChainedCursor([part.cursor(keyword) for part in self._parts()])
         if not chained.eof or self.has_keyword(keyword):
             return chained
         return None
@@ -189,7 +225,8 @@ class IncrementalDILIndex:
 
         Document ids must exceed every id already indexed (the engine's
         monotone id assignment guarantees this); that invariant is what
-        keeps chained cursors Dewey-ordered.
+        keeps chained cursors Dewey-ordered and lets the delta lists grow
+        by appending.
         """
         self._require_built()
         if not documents:
@@ -200,26 +237,27 @@ class IncrementalDILIndex:
                 f"new document ids must exceed {self.max_doc_id}, got {smallest}"
             )
         if scores is None:
-            scores = approximate_scores(documents, reference or {})
-        new_postings = postings_for_documents(documents, scores)
-        for keyword, plist in new_postings.items():
-            self._delta_postings.setdefault(keyword, []).extend(plist)
+            reference = reference or {}
+            if self._averages is None or self._averages[0] is not reference:
+                self._averages = (reference, depth_averages(reference))
+            scores = approximate_scores(
+                documents, reference, averages=self._averages[1]
+            )
+        if self.delta is None:
+            self.delta = DILIndex(self._storage_params)
+            self.delta.disk.fault_plan = self.main.disk.fault_plan
+            self.delta.build({})
+        self.delta.append(postings_for_documents(documents, scores))
         self.max_doc_id = max(d.doc_id for d in documents)
         logger.info(
             "added %d documents incrementally; delta now holds %d postings",
             len(documents),
-            sum(len(v) for v in self._delta_postings.values()),
-        )
-        # Rebuild the (small) delta index from the accumulated postings.
-        self.delta = DILIndex(self._storage_params)
-        self.delta.build(
-            {k: sorted(v, key=lambda p: p.dewey.components)
-             for k, v in self._delta_postings.items()}
+            self.delta_size,
         )
 
     @property
     def delta_size(self) -> int:
-        return sum(len(v) for v in self._delta_postings.values())
+        return 0 if self.delta is None else self.delta.num_postings
 
     # -- compaction ---------------------------------------------------------------------
 
@@ -235,7 +273,8 @@ class IncrementalDILIndex:
         for keyword in sorted(self.keywords()):
             postings: List[Posting] = [
                 p
-                for p in self._scan_all(keyword)
+                for part in self._parts()
+                for p in part.scan(keyword)
                 if p.dewey.doc_id not in self.deleted_docs
             ]
             if postings:
@@ -252,21 +291,12 @@ class IncrementalDILIndex:
         )
         self.deleted_docs = self.main.deleted_docs
         self.delta = None
-        self._delta_postings = {}
-
-    def _scan_all(self, keyword: str):
-        yield from self.main.scan(keyword)
-        if self.delta is not None:
-            yield from self.delta.scan(keyword)
 
     # -- accounting ------------------------------------------------------------------------
 
     @property
     def inverted_list_bytes(self) -> int:
-        total = self.main.inverted_list_bytes
-        if self.delta is not None:
-            total += self.delta.inverted_list_bytes
-        return total
+        return sum(part.inverted_list_bytes for part in self._parts())
 
     @property
     def index_bytes(self) -> Optional[int]:

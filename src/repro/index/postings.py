@@ -15,12 +15,25 @@ apples-to-apples.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
+from ..errors import StorageError
 from ..storage.records import RecordReader, RecordWriter
-from ..xmlmodel.dewey import DeweyId
+from ..xmlmodel.dewey import DeweyId, encode_varint
 from ..xmlmodel.graph import CollectionGraph
+
+_FLOAT32 = struct.Struct("<f")
+
+
+def _put_uints(out: bytearray, values) -> None:
+    """Append non-negative varints; a value below 128 is its own byte."""
+    for value in values:
+        if value < 0x80:
+            out.append(value)
+        else:
+            out += encode_varint(value)
 
 
 @dataclass(frozen=True)
@@ -32,12 +45,24 @@ class Posting:
     positions: Tuple[int, ...]
 
     def encode(self) -> bytes:
-        """Serialize as dewey + float32 rank + delta posList."""
-        writer = RecordWriter()
-        writer.dewey(self.dewey)
-        writer.float32(self.elemrank)
-        writer.uint_list(list(self.positions))
-        return writer.getvalue()
+        """Serialize as dewey + float32 rank + delta posList.
+
+        One pass into one buffer, byte-identical to composing
+        ``RecordWriter.dewey/float32/uint_list``.
+        """
+        components = self.dewey.components
+        gaps = [len(self.positions)]
+        previous = 0
+        for position in self.positions:
+            if position < previous:
+                raise StorageError("uint_list requires a sorted list")
+            gaps.append(position - previous)
+            previous = position
+        out = bytearray()
+        _put_uints(out, (len(components), *components))
+        out += _FLOAT32.pack(self.elemrank)
+        _put_uints(out, gaps)
+        return bytes(out)
 
     @classmethod
     def decode(cls, data: bytes) -> "Posting":
@@ -186,7 +211,15 @@ def expand_to_naive_postings(
 
 def rank_order(postings: List[Posting]) -> List[Posting]:
     """Order postings by descending ElemRank, Dewey ID as the tiebreak."""
-    return sorted(postings, key=lambda p: (-p.elemrank, p.dewey.components))
+    return [postings[i] for i in rank_order_indices(postings)]
+
+
+def rank_order_indices(postings: List[Posting]) -> List[int]:
+    """Positions of ``postings`` in :func:`rank_order`."""
+    return sorted(
+        range(len(postings)),
+        key=lambda i: (-postings[i].elemrank, postings[i].dewey.components),
+    )
 
 
 def iter_decoded(records: Iterator[bytes]) -> Iterator[Posting]:

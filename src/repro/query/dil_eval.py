@@ -20,6 +20,7 @@ from ..config import RankingParams
 from ..index.dil import DILIndex
 from ..obs import NOOP_SPAN
 from ..obs.profile import active_profile
+from ..storage.iostats import total_io
 from .merge import conjunctive_merge
 from .results import QueryResult, ResultHeap, validate_query
 from .streams import PostingStream
@@ -62,14 +63,12 @@ class DILEvaluator:
         """
         with span.child("postings", keyword=keyword) as list_span:
             before = (
-                self.index.disk.stats.snapshot()
-                if list_span.recording
-                else None
+                total_io(self.index.disks()) if list_span.recording else None
             )
             stream = self._stream(keyword)
             if before is not None:
                 list_span.attach_io(
-                    self.index.disk.stats.delta_since(before)
+                    total_io(self.index.disks()).delta_since(before)
                 )
         return stream
 

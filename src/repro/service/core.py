@@ -37,7 +37,7 @@ from ..obs.profile import ProfileRegistry, QueryProfile, activate
 from ..obs.render import to_dict as trace_to_dict
 from ..obs.slo import SLOMonitor
 from ..obs.trace import TraceContext
-from ..storage.iostats import IOStats
+from ..storage.iostats import IOStats, total_io
 from .admission import AdmissionController, Deadline
 from .breaker import FALLBACK_KIND, CircuitBreaker
 from .cache import MISS, GenerationalLRU
@@ -557,10 +557,8 @@ class XRankService:
 
     def _io_totals_locked(self) -> IOStats:
         # Caller holds the (non-reentrant) read lock; see io_totals/stats.
-        total = IOStats()
-        for index in self.engine._indexes.values():  # repro: ignore[lock-discipline]
-            total = total + index.disk.stats
-        return total
+        indexes = self.engine._indexes.values()  # repro: ignore[lock-discipline]
+        return total_io(disk for index in indexes for disk in index.disks())
 
     def stats(self) -> Dict[str, object]:
         """One JSON-ready dict: serving metrics + caches + engine + I/O."""

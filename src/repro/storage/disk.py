@@ -216,6 +216,16 @@ class SimulatedDisk:
         self.stats.record_writes()
         self.pool.touch(page_id)
 
+    def read_for_update(self, page_id: int) -> bytes:
+        """A page's stored bytes, for a writer about to overwrite it.
+
+        Part of the write, not a read: writes cost no simulated time in
+        this model, so the buffer pool, the stream tracking and the I/O
+        counters are left untouched.
+        """
+        self._check_page_id(page_id)
+        return self.pages[page_id]
+
     def _check_size(self, data: bytes) -> None:
         if len(data) > self.params.page_size:
             raise PageError(

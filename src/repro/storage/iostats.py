@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..config import StorageParams
 
@@ -188,3 +189,11 @@ class IOStats:
                 retries=mine.retries + other.retries,
                 slow_reads=mine.slow_reads + other.slow_reads,
             )
+
+
+def total_io(disks: Iterable) -> IOStats:
+    """Counters summed over simulated disks (each read consistently)."""
+    total = IOStats()
+    for disk in disks:
+        total = total + disk.stats
+    return total

@@ -16,6 +16,10 @@ from typing import List, Tuple
 from ..errors import StorageError
 from ..xmlmodel.dewey import DeweyId, decode_varint, encode_varint
 
+#: Bytes reserved per page for its record-count header: a generous bound
+#: on the varint, so a page's records always fit beside the header.
+PAGE_HEADER_BOUND = 5
+
 _FLOAT = struct.Struct("<d")
 _FLOAT32 = struct.Struct("<f")
 
@@ -166,12 +170,11 @@ def pack_into_pages(
             current_size = 0
 
     for record in records:
-        overhead = 5  # generous bound for the count header
-        if len(record) + overhead > page_size:
+        if len(record) + PAGE_HEADER_BOUND > page_size:
             raise StorageError(
                 f"record of {len(record)} bytes cannot fit a {page_size}-byte page"
             )
-        if current_size + len(record) + overhead > page_size:
+        if current_size + len(record) + PAGE_HEADER_BOUND > page_size:
             flush()
         current.append(record)
         current_size += len(record)

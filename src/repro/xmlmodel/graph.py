@@ -19,7 +19,7 @@ power iteration can run over flat arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import DocumentNotFoundError
 from .dewey import DeweyId
@@ -56,6 +56,11 @@ class CollectionGraph:
         self.documents: Dict[int, Document] = {}
         self._by_uri: Dict[str, Document] = {}
         self._finalized = False
+        # Documents added since the last finalize(), or None when the
+        # tables must be rebuilt from scratch (never built, or a removal).
+        self._appended: Optional[List[Document]] = None
+        # URIs that some resolved XLink named without finding a document.
+        self._dangling_uris: Set[str] = set()
         # Dense element table, built by finalize():
         self.elements: List[Element] = []
         self.element_doc: List[Document] = []
@@ -66,6 +71,11 @@ class CollectionGraph:
         self.hyperlink_edges: List[Tuple[int, int]] = []
         self.out_hyperlink_count: List[int] = []   # N_h(u)
         self.resolution = LinkResolution()
+
+    def __setstate__(self, state: dict) -> None:
+        state.setdefault("_appended", None)  # pickles from before appends
+        state.setdefault("_dangling_uris", set())
+        self.__dict__.update(state)
 
     # -- population --------------------------------------------------------------
 
@@ -78,6 +88,8 @@ class CollectionGraph:
         self.documents[document.doc_id] = document
         if document.uri:
             self._by_uri.setdefault(document.uri, document)
+        if self._appended is not None:
+            self._appended.append(document)
         self._finalized = False
 
     def remove_document(self, doc_id: int) -> Document:
@@ -88,6 +100,7 @@ class CollectionGraph:
             raise DocumentNotFoundError(f"no document with id {doc_id}") from None
         if document.uri and self._by_uri.get(document.uri) is document:
             del self._by_uri[document.uri]
+        self._appended = None
         self._finalized = False
         return document
 
@@ -114,7 +127,41 @@ class CollectionGraph:
         """Build the dense element table and resolve hyperlinks.
 
         Idempotent; must be re-run after documents are added or removed.
+        When the only change since the last run is added documents whose
+        ids exceed every finalized one, and none of them carries a URI
+        that an earlier XLink failed to resolve, the tables are extended
+        in place: those documents' elements and links come last in a full
+        rebuild too, so the result is identical.  Anything else rebuilds
+        from scratch.
         """
+        appended = self._appended
+        if appended is None or not self._extends_tables(appended):
+            self._reset_tables()
+            appended = list(self.documents.values())
+        appended.sort(key=lambda document: document.doc_id)
+        first_edge = len(self.hyperlink_edges)
+        for document in appended:
+            self._add_elements(document)
+        for document in appended:
+            self._resolve_links(document)
+        self.out_hyperlink_count.extend(
+            [0] * (len(self.elements) - len(self.out_hyperlink_count))
+        )
+        for src, _dst in self.hyperlink_edges[first_edge:]:
+            self.out_hyperlink_count[src] += 1
+        self._appended = []
+        self._finalized = True
+
+    def _extends_tables(self, appended: List[Document]) -> bool:
+        """True when the documents can go after the finalized tables."""
+        last = self.element_doc[-1].doc_id if self.element_doc else -1
+        return all(
+            document.doc_id > last
+            and not (document.uri and document.uri in self._dangling_uris)
+            for document in appended
+        )
+
+    def _reset_tables(self) -> None:
         self.elements = []
         self.element_doc = []
         self.index_of = {}
@@ -122,44 +169,37 @@ class CollectionGraph:
         self.children_count = []
         self.doc_element_count = []
         self.hyperlink_edges = []
+        self.out_hyperlink_count = []
         self.resolution = LinkResolution()
+        self._dangling_uris = set()
 
-        for doc_id in sorted(self.documents):
-            document = self.documents[doc_id]
-            count = document.num_elements
-            for element in document.iter_elements():
-                index = len(self.elements)
-                self.index_of[element.dewey] = index
-                self.elements.append(element)
-                self.element_doc.append(document)
-                self.children_count.append(element.num_subelements)
-                self.doc_element_count.append(count)
-                if element.parent is None:
-                    self.parent_index.append(-1)
-                else:
-                    # Parents precede children in pre-order, so the parent's
-                    # index is already assigned.
-                    self.parent_index.append(self.index_of[element.parent.dewey])
+    def _add_elements(self, document: Document) -> None:
+        count = document.num_elements
+        for element in document.iter_elements():
+            index = len(self.elements)
+            self.index_of[element.dewey] = index
+            self.elements.append(element)
+            self.element_doc.append(document)
+            self.children_count.append(element.num_subelements)
+            self.doc_element_count.append(count)
+            if element.parent is None:
+                self.parent_index.append(-1)
+            else:
+                # Parents precede children in pre-order, so the parent's
+                # index is already assigned.
+                self.parent_index.append(self.index_of[element.parent.dewey])
 
-        self._resolve_hyperlinks()
-        self.out_hyperlink_count = [0] * len(self.elements)
-        for src, _dst in self.hyperlink_edges:
-            self.out_hyperlink_count[src] += 1
-        self._finalized = True
-
-    def _resolve_hyperlinks(self) -> None:
+    def _resolve_links(self, document: Document) -> None:
         stats = self.resolution
-        for doc_id in sorted(self.documents):
-            document = self.documents[doc_id]
-            id_targets = document.elements_with_id_attribute()
-            for element in document.iter_elements():
-                if not element.from_attribute:
-                    continue
-                tag = element.tag.lower()
-                if tag in IDREF_TAGS:
-                    self._resolve_idref(element, id_targets, stats)
-                elif tag in XLINK_TAGS:
-                    self._resolve_xlink(element, stats)
+        id_targets = document.elements_with_id_attribute()
+        for element in document.iter_elements():
+            if not element.from_attribute:
+                continue
+            tag = element.tag.lower()
+            if tag in IDREF_TAGS:
+                self._resolve_idref(element, id_targets, stats)
+            elif tag in XLINK_TAGS:
+                self._resolve_xlink(element, stats)
 
     def _link_source(self, attribute_element: Element) -> Element:
         """The logical source of a link is the element carrying the attribute."""
@@ -196,6 +236,7 @@ class CollectionGraph:
         if target_doc is None:
             stats.xlinks_dangling += 1
             stats.dangling_targets.append(raw)
+            self._dangling_uris.add(uri)
             return
         target: Optional[Element] = target_doc.root
         if fragment:

@@ -147,3 +147,99 @@ class TestDocumentManagement:
         assert not graph.finalized
         assert graph.num_elements == 2
         assert graph.finalized
+
+
+def _tables(graph):
+    return (
+        [id(element) for element in graph.elements],
+        [document.doc_id for document in graph.element_doc],
+        dict(graph.index_of),
+        list(graph.parent_index),
+        list(graph.children_count),
+        list(graph.doc_element_count),
+        list(graph.hyperlink_edges),
+        list(graph.out_hyperlink_count),
+        graph.resolution,
+    )
+
+
+APPEND_SOURCES = [
+    ('<a id="top"><r ref="top"/><c xlink="doc1"/></a>', "doc0"),
+    ('<b><s id="s1">one</s><c xlink="doc0#top"/><c xlink="doc9"/></b>', "doc1"),
+    ('<c><r idref="s1 nope"/><l xlink="doc1#s1"/><l xlink="doc2"/></c>', "doc2"),
+    ("<d><e><f>deep</f></e></d>", ""),
+    ('<e><l xlink="doc0"/><l xlink="doc4"/></e>', "doc4"),
+]
+
+
+class TestAppendFinalize:
+    def _appended(self, sources):
+        """Finalize after every add; returns the graph and whether each
+        finalize kept the tables (extended them) or rebuilt them."""
+        graph = CollectionGraph()
+        extended = []
+        for doc_id, (source, uri) in enumerate(sources):
+            graph.add_document(parse_xml(source, doc_id=doc_id, uri=uri))
+            before = graph.elements
+            graph.finalize()
+            extended.append(graph.elements is before)
+        return graph, extended
+
+    def test_appends_equal_one_full_finalize(self):
+        graph, extended = self._appended(APPEND_SOURCES)
+        # doc1 resolves doc0's dangling XLink, so only it rebuilds.
+        assert extended == [False, False, True, True, True]
+        full = make_graph(*(s for s, _ in APPEND_SOURCES),
+                          uris=[u for _, u in APPEND_SOURCES])
+        # Parsed separately, so compare element identities by Dewey ID.
+        assert [e.dewey for e in graph.elements] == [e.dewey for e in full.elements]
+        assert _tables(graph)[1:] == _tables(full)[1:]
+        assert graph.resolution.xlinks_resolved > 0
+        assert graph.resolution.idrefs_dangling == 2  # IDREFs stay in-document
+
+    def test_new_document_resolving_a_dangling_xlink_rebuilds(self):
+        sources = APPEND_SOURCES + [("<z>late target</z>", "doc9")]
+        graph, extended = self._appended(sources)
+        assert extended[-1] is False
+        full = CollectionGraph()
+        for doc_id, document in sorted(graph.documents.items()):
+            full.add_document(document)
+        full.finalize()
+        assert _tables(graph) == _tables(full)
+        target = graph.index_of[graph.documents[5].root.dewey]
+        assert target in {dst for _src, dst in graph.hyperlink_edges}
+
+    def test_batch_append_and_idempotent_refinalize(self):
+        graph = CollectionGraph()
+        for doc_id, (source, uri) in enumerate(APPEND_SOURCES[:2]):
+            graph.add_document(parse_xml(source, doc_id=doc_id, uri=uri))
+        graph.finalize()
+        for doc_id, (source, uri) in enumerate(APPEND_SOURCES[2:], start=2):
+            graph.add_document(parse_xml(source, doc_id=doc_id, uri=uri))
+        before = graph.elements
+        graph.finalize()
+        assert graph.elements is before
+        snapshot = _tables(graph)
+        graph.finalize()
+        assert _tables(graph) == snapshot
+        full = CollectionGraph()
+        for _doc_id, document in sorted(graph.documents.items()):
+            full.add_document(document)
+        full.finalize()
+        assert _tables(graph) == _tables(full)
+
+    def test_out_of_order_id_or_removal_rebuilds(self):
+        graph = CollectionGraph()
+        graph.add_document(parse_xml("<a>x</a>", doc_id=5, uri="doc5"))
+        graph.finalize()
+        graph.add_document(parse_xml("<b>y</b>", doc_id=2, uri="doc2"))
+        before = graph.elements
+        graph.finalize()
+        assert graph.elements is not before
+        assert [e.dewey.doc_id for e in graph.elements] == [2, 5]
+        graph.remove_document(2)
+        graph.add_document(parse_xml("<c>z</c>", doc_id=9))
+        before = graph.elements
+        graph.finalize()
+        assert graph.elements is not before
+        assert [e.dewey.doc_id for e in graph.elements] == [5, 9]

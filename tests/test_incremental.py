@@ -2,14 +2,18 @@
 
 import pytest
 
+from repro.config import StorageParams
 from repro.errors import IndexError_, IndexNotBuiltError
 from repro.index.builder import IndexBuilder
+from repro.index.dil import DILIndex
 from repro.index.incremental import (
     IncrementalDILIndex,
     approximate_scores,
     postings_for_documents,
 )
 from repro.query.dil_eval import DILEvaluator
+from repro.storage.disk import SimulatedDisk
+from repro.storage.listfile import ListFile
 from repro.xmlmodel.graph import CollectionGraph
 from repro.xmlmodel.parser import parse_xml
 
@@ -237,3 +241,131 @@ class TestChainedCursor:
         while not cursor.eof:
             out.append(cursor.next())
         assert out == [b"A", b"B", b"C"]
+
+
+def _drain(cursor):
+    records = []
+    while cursor is not None and not cursor.eof:
+        records.append(cursor.next())
+    return records
+
+
+def _answers(index, keywords):
+    return [
+        (r.dewey, r.rank) for r in DILEvaluator(index).evaluate(keywords, m=1000)
+    ]
+
+
+class TestWritePath:
+    """The persistent delta, checked against a bulk-built DIL index over
+    the same postings after every step of a seeded add/delete/merge run."""
+
+    # Small pages, so delta lists outgrow their last page and relocate.
+    PARAMS = StorageParams(page_size=256)
+    QUERIES = [["alpha"], ["alpha", "beta"], ["gamma", "delta", "epsilon"]]
+
+    def _check(self, index, expected, deleted):
+        reference = DILIndex(self.PARAMS)
+        reference.build(expected)
+        for doc_id in deleted:
+            reference.delete_document(doc_id)
+        for keyword in expected:
+            assert _drain(index.cursor(keyword)) == _drain(reference.cursor(keyword))
+        assert sorted(index.keywords()) == sorted(expected)
+        for keywords in self.QUERIES:
+            assert _answers(index, keywords) == _answers(reference, keywords)
+        if index.delta is not None:
+            # Every delta list holds exactly the pages a bulk write would.
+            for keyword, list_file in index.delta.lists.items():
+                fresh = ListFile.write(
+                    SimulatedDisk(self.PARAMS),
+                    list(list_file.scan()),
+                )
+                assert [index.delta.disk.pages[p] for p in list_file.page_ids] == [
+                    fresh.disk.pages[p] for p in fresh.page_ids
+                ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_adds_delete_merge_match_bulk_dil(self, seed):
+        import random
+
+        from conftest import random_xml
+
+        rng = random.Random(seed)
+        graph = CollectionGraph()
+        for doc_id in range(5):
+            graph.add_document(parse_xml(random_xml(rng), doc_id=doc_id))
+        graph.finalize()
+        builder = IndexBuilder(graph)
+        index = IncrementalDILIndex(self.PARAMS)
+        index.build(builder.direct_postings)
+        expected = {k: list(v) for k, v in builder.direct_postings.items()}
+        deleted = set()
+        next_id = 5
+        for step in range(12):
+            batch = [
+                parse_xml(random_xml(rng), doc_id=next_id + i)
+                for i in range(1 if step % 2 else 3)
+            ]
+            next_id += len(batch)
+            scores = approximate_scores(batch, builder.elemranks)
+            index.add_documents(batch, scores=scores)
+            for keyword, postings in postings_for_documents(batch, scores).items():
+                expected.setdefault(keyword, []).extend(postings)
+            if step == 4:
+                index.delete_document(2)
+                index.delete_document(next_id - 1)
+                deleted |= {2, next_id - 1}
+            self._check(index, expected, deleted)
+            if step == 7:
+                index.merge()
+                expected = {
+                    keyword: kept
+                    for keyword, postings in expected.items()
+                    if (kept := [
+                        p for p in postings if p.dewey.doc_id not in deleted
+                    ])
+                }
+                deleted = set()
+                assert index.delta is None
+                self._check(index, expected, deleted)
+        assert index.delta is not None and index.delta_size > 0
+
+    def test_delta_disk_does_not_leak_pages(self):
+        import random
+
+        from conftest import random_xml
+
+        _, builder = fresh_index()
+        index = IncrementalDILIndex(self.PARAMS)
+        index.build(builder.direct_postings)
+        rng = random.Random(7)
+        relocated = False
+        delta_ids = set()
+        for doc_id in range(3, 203):
+            index.add_documents(
+                [parse_xml(random_xml(rng), doc_id=doc_id)],
+                reference=builder.elemranks,
+            )
+            delta_ids.add(id(index.delta))
+            disk = index.delta.disk
+            live = sum(f.num_pages for f in index.delta.lists.values())
+            assert disk.num_pages - disk.num_free_pages == live
+            relocated = relocated or disk.num_free_pages > 0
+        assert relocated
+        assert len(delta_ids) == 1  # one delta, updated in place
+        # Appends and relocations are writes: they charge no reads.
+        assert disk.stats.page_reads == 0 and disk.stats.cache_hits == 0
+        # Freed pages are reused: the file is far smaller than the pages
+        # every relocation would have cost without reuse.
+        assert index.delta.disk.stats.page_writes > index.delta.disk.num_pages
+
+    def test_append_keeps_written_page_in_buffer_pool(self):
+        index, builder = fresh_index()
+        index.add_documents(new_documents(["alpha one"], 10), reference=builder.elemranks)
+        disk = index.delta.disk
+        disk.drop_cache()
+        index.add_documents(new_documents(["alpha two"], 11), reference=builder.elemranks)
+        disk.reset_stats()
+        assert [p.dewey.doc_id for p in index.delta.scan("alpha")] == [10, 11]
+        assert disk.stats.page_reads == 0 and disk.stats.cache_hits == 1

@@ -141,6 +141,53 @@ class TestHTTPEndpoints:
         assert stats["engine"]["documents"] >= 1
 
 
+class TestIncrementalIntrospection:
+    """Serving ``dil-incremental``: the endpoints that sum I/O over the
+    index's disks see both the main and the delta disk."""
+
+    def test_endpoints_and_profiled_search_after_add(self):
+        import http.client
+
+        engine = XRankEngine()
+        engine.add_xml(DOC, uri="doc0")
+        engine.build(kinds=["dil-incremental"])
+        service = XRankService(engine, kinds=("dil-incremental",), profile=True)
+        server = make_server(service, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        port = server.server_address[1]
+        client = ServiceClient("127.0.0.1", port, timeout=10.0)
+        try:
+            client.add_xml("<note>zebra crossing notes</note>", uri="doc1")
+            index = engine.index("dil-incremental")
+            delta_reads = index.delta.disk.stats.page_reads
+            payload = client.search("zebra", m=5, kind="dil-incremental")
+            assert [hit["dewey"] for hit in payload["results"]] == ["1"]
+            delta_reads = index.delta.disk.stats.page_reads - delta_reads
+            assert delta_reads > 0
+            (profile,) = client.profile()["profiles"]
+            assert profile["counters"]["page_reads"] == delta_reads
+            for path in ("/stats", "/healthz", "/metrics"):
+                connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                try:
+                    connection.request("GET", path)
+                    response = connection.getresponse()
+                    response.read()
+                    assert response.status == 200, path
+                finally:
+                    connection.close()
+            io = client.stats()["io"]
+            assert io["page_reads"] == sum(
+                disk.stats.page_reads for disk in index.disks()
+            )
+            assert client.healthz()["kinds"] == ["dil-incremental"]
+        finally:
+            client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
 class TestServeCheck:
     def test_cli_serve_check_smoke(self, capsys):
         assert main(["serve", "--check"]) == 0
