@@ -13,7 +13,9 @@ Per keyword, HDIL stores:
   queries without touching the full list.
 
 Query processing starts in RDIL mode over the ranked head and adaptively
-switches to a DIL scan of the full lists (:mod:`repro.query.hdil_eval`).
+switches to a DIL scan of the full lists, or goes straight to the scan when
+the lists are so short that no RDIL run can be cheaper
+(:mod:`repro.query.hdil_eval`).
 """
 
 from __future__ import annotations

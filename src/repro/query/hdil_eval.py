@@ -18,6 +18,16 @@ lists when RDIL looks like losing.  Following the paper:
 RDIL mode also ends when a truncated ranked head is exhausted before the
 Threshold Algorithm stop condition holds — the head no longer bounds unseen
 ranks, so only a full DIL pass can guarantee the top-m.
+
+The paper always starts in RDIL mode.  We first compare DIL's a-priori cost
+``k * seek + P * transfer`` (``k`` keywords, ``P`` full-list pages) with the
+floor of any RDIL run, ``k * (seek + transfer)``: one random head-page read
+per keyword.  When DIL is no dearer than that floor, RDIL cannot win under
+the paper's own estimate, so the query goes straight to a DIL scan
+(``HDILTrace.started_in_rdil`` is False).  Under the disk model the rule
+reduces to ``P <= k``: it fires only when every list is about one page long,
+where the RDIL phase would read a head page and then the full-list page
+anyway.
 """
 
 from __future__ import annotations
@@ -39,7 +49,11 @@ from .streams import PostingStream
 
 @dataclass
 class HDILTrace:
-    """Diagnostics of one HDIL evaluation (which mode won, and why)."""
+    """Diagnostics of one HDIL evaluation (which mode won, and why).
+
+    ``started_in_rdil`` is False when the a-priori plan chose DIL outright;
+    ``switched_to_dil`` is set only by a switch in mid-query.
+    """
 
     started_in_rdil: bool = True
     switched_to_dil: bool = False
@@ -102,7 +116,8 @@ class HDILEvaluator:
         deadline=None,
         span=None,
     ) -> List[QueryResult]:
-        """Top-m conjunctive results via adaptive RDIL-then-DIL."""
+        """Top-m conjunctive results: DIL outright when RDIL cannot win,
+        else adaptive RDIL-then-DIL."""
         validate_query(keywords, m, weights)
         self.index._require_built()
         self.last_trace = HDILTrace()
@@ -115,7 +130,27 @@ class HDILEvaluator:
             return self._evaluate_single(keywords[0], m, scale, deadline)
 
         dil_expected = self._expected_dil_cost_ms(keywords)
+        rdil_floor = self._rdil_floor_ms(len(keywords))
         self.last_trace.dil_expected_ms = dil_expected
+
+        if dil_expected <= rdil_floor:
+            # RDIL cannot win: its first head page per keyword already
+            # costs as much as the whole DIL scan.
+            self.last_trace.started_in_rdil = False
+            self.last_trace.switch_reason = (
+                f"DIL expected {dil_expected:.1f}ms <= RDIL floor "
+                f"{rdil_floor:.1f}ms"
+            )
+            with span.child(
+                "dil_scan",
+                keywords=len(keywords),
+                dil_expected_ms=dil_expected,
+                rdil_floor_ms=rdil_floor,
+            ) as dil_span:
+                dil_span.event("dil_first")
+                return self._evaluate_dil_mode(
+                    keywords, m, weights, deadline, dil_span
+                )
 
         with span.child("rdil_probe", keywords=len(keywords)) as rdil_span:
             results = self._evaluate_rdil_mode(
@@ -124,17 +159,9 @@ class HDILEvaluator:
         if results is not None:
             return results
         with span.child("dil_scan", keywords=len(keywords)) as dil_span:
-            before = (
-                self.index.disk.stats.snapshot()
-                if dil_span.recording
-                else None
+            return self._evaluate_dil_mode(
+                keywords, m, weights, deadline, dil_span
             )
-            results = self._evaluate_dil_mode(keywords, m, weights, deadline)
-            if before is not None:
-                dil_span.attach_io(
-                    self.index.disk.stats.delta_since(before)
-                )
-        return results
 
     def _evaluate_rdil_mode(
         self,
@@ -263,7 +290,9 @@ class HDILEvaluator:
         m: int,
         weights: Optional[Sequence[float]] = None,
         deadline=None,
+        span=NOOP_SPAN,
     ) -> List[QueryResult]:
+        before = self.index.disk.stats.snapshot() if span.recording else None
         streams = [self._full_stream(keyword) for keyword in keywords]
         heap = ResultHeap(m)
         for result in conjunctive_merge(
@@ -273,6 +302,8 @@ class HDILEvaluator:
             deadline=deadline,
         ):
             heap.add(result)
+        if before is not None:
+            span.attach_io(self.index.disk.stats.delta_since(before))
         return heap.results()
 
     def _evaluate_single(
@@ -320,3 +351,8 @@ class HDILEvaluator:
         params = self.index.disk.params
         pages = self.index.total_full_pages(keywords)
         return pages * params.transfer_cost_ms + len(keywords) * params.seek_cost_ms
+
+    def _rdil_floor_ms(self, num_keywords: int) -> float:
+        """Cheapest possible RDIL run: one random head-page read per keyword."""
+        params = self.index.disk.params
+        return num_keywords * (params.seek_cost_ms + params.transfer_cost_ms)

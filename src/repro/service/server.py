@@ -28,7 +28,8 @@ Endpoints:
   carrying the trace id of the query that caused it.
 * ``GET /healthz`` — cheap liveness probe.
 
-Error mapping: malformed requests → 400, unknown paths → 404, admission
+Error mapping: malformed requests → 400, unknown paths → 404, a body
+over :data:`MAX_BODY_BYTES` → 413 (the connection is closed), admission
 overflow → 503 (clients should back off), storage faults that exhausted
 the service's retry/fallback machinery → 500 with ``retryable: true``,
 anything else → 500.  Every error path returns a JSON body naming the
@@ -51,6 +52,11 @@ from ..errors import FaultError, ServiceOverloadedError, XRankError
 from ..obs.render import to_dict as trace_to_dict
 from ..obs.trace import TraceContext
 from .core import XRankService
+
+#: Largest request body the server reads.  A bigger ``Content-Length`` is
+#: answered with 413 before any of the body is read, so one request cannot
+#: make the server buffer an unbounded payload.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class XRankHTTPServer(ThreadingHTTPServer):
@@ -231,11 +237,31 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------------
 
     def _read_json_body(self) -> Optional[Dict[str, object]]:
+        header = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = int(header)
         except ValueError:
-            length = 0
-        if length <= 0:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body is never read, so the stream no longer frames the
+            # next request: answer and drop the connection.
+            self.close_connection = True
+            if length < 0:
+                self._send_json(
+                    400, {"error": f"invalid Content-Length {header!r}"}
+                )
+            else:
+                self._send_json(
+                    413,
+                    {
+                        "error": f"request body of {length} bytes exceeds "
+                        f"the {MAX_BODY_BYTES}-byte limit",
+                        "type": "PayloadTooLarge",
+                        "limit": MAX_BODY_BYTES,
+                    },
+                )
+            return None
+        if length == 0:
             return {}
         raw = self.rfile.read(length)
         try:
@@ -257,6 +283,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

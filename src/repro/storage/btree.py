@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from ..errors import BTreeError
+from ..errors import BTreeError, StorageError
 from ..xmlmodel.dewey import DeweyId
 from .disk import SimulatedDisk
 from .records import RecordReader, RecordWriter
@@ -206,8 +206,16 @@ class BTree:
     def _leaf_neighbors(self, page_id: int) -> Tuple[int, int]:
         """(prev, next) page ids, -1 when absent."""
         if self.leaf_decoder is not None:
-            # External leaves are consecutive list pages.
-            position = self.leaf_pages.index(page_id)
+            # External leaves are a list file's consecutive pages, so the
+            # position is an offset from the first one.
+            position = page_id - self.leaf_pages[0]
+            if not (
+                0 <= position < len(self.leaf_pages)
+                and self.leaf_pages[position] == page_id
+            ):
+                raise StorageError(
+                    f"page {page_id} is not a consecutive external leaf"
+                )
             prev_page = self.leaf_pages[position - 1] if position > 0 else -1
             next_page = (
                 self.leaf_pages[position + 1]

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import StorageParams
-from repro.errors import BTreeError
+from repro.errors import BTreeError, StorageError
+from repro.index.hdil import decode_list_page
 from repro.storage.btree import BTree, SharedPageWriter
 from repro.storage.disk import SimulatedDisk
+from repro.storage.listfile import ListFile
 from repro.xmlmodel.dewey import DeweyId
 
 
@@ -174,3 +176,88 @@ class TestSharedPageWriter:
         writer = SharedPageWriter(disk)
         with pytest.raises(BTreeError):
             writer.place(b"x" * 200)
+
+
+class _LinearNeighborTree(BTree):
+    """The former neighbour lookup: a linear search of the leaf list."""
+
+    def _leaf_neighbors(self, page_id):
+        if self.leaf_decoder is None:
+            return super()._leaf_neighbors(page_id)
+        position = self.leaf_pages.index(page_id)
+        prev_page = self.leaf_pages[position - 1] if position > 0 else -1
+        next_page = (
+            self.leaf_pages[position + 1]
+            if position + 1 < len(self.leaf_pages)
+            else -1
+        )
+        return prev_page, next_page
+
+
+def _external_tree(keys, tree_cls=BTree):
+    """A tree built over a list file's pages, as HDIL builds it."""
+    disk = make_disk(page_size=128, pool=4)
+    records = [key.encode() + b"payload" for key in keys]
+    list_file = ListFile.write(disk, records)
+    page_index = [
+        (keys[first], page_id)
+        for page_id, first in zip(list_file.page_ids, list_file.page_boundaries)
+    ]
+    tree = tree_cls.build_over_pages(
+        disk, page_index, leaf_decoder=decode_list_page,
+        num_entries=len(keys),
+    )
+    return tree, list_file
+
+
+class TestExternalLeafNeighbors:
+    @pytest.fixture(scope="class")
+    def keys(self):
+        return random_keys(random.Random(21), 150, fanout=9, depth=3)
+
+    def _probes(self, keys):
+        # Every page's first key, one past its last key, and keys just
+        # outside the list: the probes that cross a page boundary.
+        probes = [DeweyId((0,)), DeweyId((99,))]
+        for key in keys[::7] + keys[-3:]:
+            probes.extend([key, DeweyId(key.components + (0,))])
+        return probes
+
+    def test_lists_span_many_pages(self, keys):
+        tree, list_file = _external_tree(keys)
+        assert list_file.num_pages >= 5
+        assert tree.leaf_pages == list_file.page_ids
+
+    def test_results_and_io_match_the_linear_lookup(self, keys):
+        new, _ = _external_tree(keys)
+        old, _ = _external_tree(keys, _LinearNeighborTree)
+        for tree in (new, old):
+            tree.disk.drop_cache()
+            tree.disk.reset_stats()
+        for probe in self._probes(keys):
+            assert new.ceiling(probe) == old.ceiling(probe)
+            assert new.predecessor(probe) == old.predecessor(probe)
+            assert new.strictly_greater(probe) == old.strictly_greater(probe)
+            assert list(new.range_scan(probe)) == list(old.range_scan(probe))
+        assert new.disk.stats.as_dict() == old.disk.stats.as_dict()
+
+    def test_results_match_bruteforce_across_pages(self, keys):
+        tree, _ = _external_tree(keys)
+        for probe in self._probes(keys):
+            above = [k for k in keys if k >= probe]
+            below = [k for k in keys if k < probe]
+            got = tree.ceiling(probe)
+            assert (got[0] if got else None) == (above[0] if above else None)
+            got = tree.predecessor(probe)
+            assert (got[0] if got else None) == (below[-1] if below else None)
+            assert [k for k, _ in tree.range_scan(probe)] == above
+
+    def test_non_consecutive_leaf_is_rejected(self, keys):
+        tree, _ = _external_tree(keys)
+        with pytest.raises(StorageError):
+            tree._leaf_neighbors(tree.leaf_pages[-1] + 1)
+        tree.leaf_pages = [tree.leaf_pages[0]] + [
+            page_id + 1 for page_id in tree.leaf_pages[1:]
+        ]
+        with pytest.raises(StorageError):
+            tree._leaf_neighbors(tree.leaf_pages[1])

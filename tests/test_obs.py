@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.config import HDILParams, StorageParams, XRankConfig
 from repro.engine import XRankEngine
 from repro.errors import XRankError
 from repro.obs import (
@@ -478,3 +479,59 @@ class TestTracedService:
         # not invent new trees.
         for query, shapes in by_query.items():
             assert len(shapes) <= 2, (query, shapes)
+
+
+# ---------------------------------------------------------------------------
+# HDIL's query plan in the trace
+# ---------------------------------------------------------------------------
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
+
+
+def _event_names(root):
+    return [event["name"] for span in _walk(root) for event in span.events]
+
+
+class TestHDILPlanSpans:
+    def test_dil_first_plan_opens_dil_scan_without_fallback(self):
+        # Three small documents: every list is one page, so DIL's a-priori
+        # cost is below any RDIL run and HDIL never probes the heads.
+        service = XRankService(build_engine(), tracer=Tracer(sample="always"))
+        service.search("alpha beta", m=5)
+        (root,) = service.tracer.buffer.traces()
+        assert validate_trace(root) == []
+        spans = list(_walk(root))
+        assert "rdil_probe" not in {span.name for span in spans}
+        (scan,) = [span for span in spans if span.name == "dil_scan"]
+        assert scan.attrs["dil_expected_ms"] <= scan.attrs["rdil_floor_ms"]
+        assert [event["name"] for event in scan.events] == ["dil_first"]
+        assert scan.io and scan.io["page_reads"] > 0
+        assert "hdil_fallback" not in _event_names(root)
+
+    def test_mid_query_switch_emits_hdil_fallback(self):
+        config = XRankConfig(
+            storage=StorageParams(page_size=64),
+            hdil=HDILParams(rank_fraction=0.01, min_rank_entries=1,
+                            monitor_interval=1),
+        )
+        engine = XRankEngine(config)
+        for index in range(12):
+            engine.add_xml(
+                f"<doc><t>alpha beta n{index}</t><p>alpha</p><q>beta</q>"
+                f"<r>gamma alpha beta</r></doc>",
+                uri=f"doc{index}",
+            )
+        engine.build(kinds=["hdil"])
+        assert engine.index("hdil").total_full_pages(["alpha", "beta"]) > 2
+        service = XRankService(engine, tracer=Tracer(sample="always"))
+        service.search("alpha beta", m=5)
+        (root,) = service.tracer.buffer.traces()
+        assert validate_trace(root) == []
+        names = _event_names(root)
+        assert "switch_to_dil" in names and "hdil_fallback" in names
+        assert "dil_first" not in names
+        (scan,) = [span for span in _walk(root) if span.name == "dil_scan"]
+        assert "rdil_floor_ms" not in scan.attrs

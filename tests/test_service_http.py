@@ -3,6 +3,8 @@ on an ephemeral port, exercised through the bundled ServiceClient."""
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -12,7 +14,8 @@ from repro.engine import XRankEngine
 from repro.errors import ServiceHTTPError
 from repro.service.client import ServiceClient
 from repro.service.core import XRankService
-from repro.service.server import make_server
+from repro.service import server as server_module
+from repro.service.server import MAX_BODY_BYTES, make_server
 
 DOC = """
 <workshop><title>XML and IR</title><proceedings>
@@ -139,6 +142,75 @@ class TestHTTPEndpoints:
         assert "results" in stats["caches"]
         assert "page_reads" in stats["io"]
         assert stats["engine"]["documents"] >= 1
+
+
+def _raw_post(port, content_length):
+    """POST /add headers announcing ``content_length`` but sending no body;
+    returns (status line, headers, JSON payload, server closed the socket)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(
+            (
+                "POST /add HTTP/1.1\r\nHost: localhost\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {content_length}\r\n\r\n"
+            ).encode("ascii")
+        )
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in header_lines)
+    }
+    return status_line, headers, json.loads(body.decode("utf-8"))
+
+
+class TestBodyLimit:
+    """The HTTP edge bounds request bodies: an oversized or negative
+    ``Content-Length`` is refused without reading the body."""
+
+    def test_oversized_body_is_413_and_closes(self, served_client):
+        client, _ = served_client
+        # recv() returning b"" above proves the server closed the socket
+        # even though the announced body never arrived.
+        status, headers, payload = _raw_post(client.port, MAX_BODY_BYTES + 1)
+        assert status.split()[1] == "413"
+        assert headers["connection"] == "close"
+        assert payload["type"] == "PayloadTooLarge"
+        assert payload["limit"] == MAX_BODY_BYTES
+
+    @pytest.mark.parametrize("content_length", [-5, "12abc"])
+    def test_invalid_content_length_is_400(self, served_client,
+                                           content_length):
+        client, _ = served_client
+        status, headers, payload = _raw_post(client.port, content_length)
+        assert status.split()[1] == "400"
+        assert headers["connection"] == "close"
+        assert "invalid Content-Length" in payload["error"]
+
+    def test_add_still_works_after_refusals(self, served_client):
+        client, service = served_client
+        _raw_post(client.port, MAX_BODY_BYTES + 1)
+        _raw_post(client.port, -1)
+        _raw_post(client.port, "x")
+        outcome = client.add_xml("<note>zebra crossing</note>", uri="doc1")
+        assert outcome["documents"] == 2
+        assert client.search("zebra", m=5)["results"]
+
+    def test_body_at_the_limit_is_read(self, served_client, monkeypatch):
+        client, _ = served_client
+        body = json.dumps({"xml": "<note>quokka</note>", "uri": "d2"})
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(body))
+        assert client.add_xml("<note>quokka</note>", uri="d2")["documents"] == 2
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", len(body) - 1)
+        with pytest.raises(ServiceHTTPError) as excinfo:
+            client.add_xml("<note>quokka</note>", uri="d2")
+        assert excinfo.value.status == 413
 
 
 class TestIncrementalIntrospection:
